@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke replay replay-smoke profile verify
+.PHONY: loc test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke replay replay-smoke profile verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -16,10 +16,16 @@ test:
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_resilience.py
 
+# Line counts of src/: one line per package (top-level modules count
+# under "repro"), then the total — the size to track from change to
+# change.
+loc:
+	@find src -name '*.py' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); pkg = (n > 3) ? p[2] "/" p[3] : p[2]; lines[pkg] += $$1; total += $$1 } END { for (k in lines) printf "%7d %s\n", lines[k], k | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+
 bench-service:
 	$(PYTHON) benchmarks/bench_service_cache.py
 
-# Multi-core speedup demo: process vs. thread batch backends.  Asserts
+# Multi-core speedup demo: process vs. serial batch transports.  Asserts
 # the >= 1.5x floor only on multi-core hosts (pass --require-speedup in
 # CI); result parity across backends is always enforced.
 bench-batch:

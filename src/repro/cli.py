@@ -138,24 +138,19 @@ def _serve_stats_main(argv: List[str]) -> int:
     parser.add_argument("--workers", type=int, default=4, help="batch workers")
     parser.add_argument(
         "--executor",
-        choices=["serial", "thread", "process"],
-        default="thread",
-        help="batch backend: process = one worker process per item "
-        "(true multi-core, hard deadlines), thread = shared-GIL pool "
-        "(soft deadlines), serial = calling thread",
+        choices=["serial", "process"],
+        default="serial",
+        help="batch backend: serial = calling thread (default; "
+        "cooperative deadlines), process = worker process pool "
+        "(multi-core, hard-kills engines that miss their deadline)",
     )
     parser.add_argument(
         "--deadline",
         type=float,
         metavar="SECONDS",
-        help="per-item wall-clock budget; items past it resolve to an "
-        "error (or heuristic fallback) instead of stalling the batch",
-    )
-    parser.add_argument(
-        "--fallback",
-        action="store_true",
-        help="serve a greedy (GOO) heuristic plan for items that "
-        "exceed --deadline instead of an error result",
+        help="batch wall-clock budget; budget-capable engines salvage "
+        "a plan at it, other items past it resolve to an error instead "
+        "of stalling the batch",
     )
     parser.add_argument(
         "--algorithm",
@@ -272,7 +267,6 @@ def _serve_stats_main(argv: List[str]) -> int:
                 workers=args.workers,
                 executor=args.executor,
                 deadline_seconds=args.deadline,
-                fallback="goo" if args.fallback else None,
             )
         failed = [r for r in results if not r.ok]
         snapshot = service.stats_snapshot()
@@ -304,7 +298,6 @@ def _serve_stats_main(argv: List[str]) -> int:
             f"cache_hits={totals['cache_hits']} "
             f"cache_misses={totals['cache_misses']} "
             f"timeouts={totals.get('timeouts', 0)} "
-            f"fallbacks={totals.get('fallbacks', 0)} "
             f"degraded={totals.get('degraded', 0)} "
             f"fast_exact={totals.get('fast_exact', 0)} "
             f"retries={totals.get('retries', 0)} "

@@ -59,12 +59,11 @@ class DisconnectedGraphError(GraphError, OptimizationError):
 
 class DeadlineExceededError(OptimizationError):
     """Raised (or recorded on a batch result) when a request exceeds its
-    per-item deadline.
+    batch deadline.
 
     The service layer's batch executors convert this into an
-    :class:`~repro.optimizer.api.OptimizationResult` with ``error`` set —
-    or into a heuristic fallback plan when one was requested — instead of
-    letting one slow query stall the whole batch.
+    :class:`~repro.optimizer.api.OptimizationResult` with ``error`` set
+    instead of letting one slow query stall the whole batch.
     """
 
 

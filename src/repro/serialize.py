@@ -380,15 +380,15 @@ def cost_model_to_dict(cost_model) -> Dict[str, Any]:
 
     Only the library's built-in models round-trip; a custom
     :class:`~repro.cost.base.CostModel` subclass raises, because the
-    receiving process could not reconstruct it.  (Thread and serial
-    executors share the address space and have no such restriction.)
+    receiving process could not reconstruct it.  (The serial executor
+    shares the address space and has no such restriction.)
     """
     name = type(cost_model).__name__
     if name not in _cost_model_classes():
         raise ReproError(
             f"cost model {name!r} is not serializable; the process "
             "executor can only ship the library's built-in cost models "
-            "(use executor='thread' for custom models)"
+            "(use executor='serial' for custom models)"
         )
     return {
         "kind": "cost_model",

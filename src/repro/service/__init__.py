@@ -9,17 +9,17 @@ graph shape, not statistics — so this package adds the serving layer:
   :class:`~repro.optimizer.api.OptimizationRequest` /
   :class:`~repro.optimizer.api.OptimizationResult` objects, with
   ``optimize``, ``optimize_batch`` and ``stats_snapshot``.
-* :class:`ProcessPoolExecutor` — batch backend that runs items in worker
-  processes (true multi-core for CPU-bound enumeration) with per-item
-  deadlines and worker recycling; ``optimize_batch`` selects it via
-  ``executor="process"`` next to ``"thread"`` and ``"serial"``.
+* :class:`ProcessPoolExecutor` — batch transport (``executor="process"``)
+  that runs exact enumerations in worker processes (true multi-core)
+  with per-item deadlines and worker recycling; the default
+  ``"serial"`` transport runs the same pipeline in-process.
 * :class:`PlanCache` — bounded, thread-safe LRU keyed by a canonical
   signature of (graph shape, rounded statistics, cost model class and
   parameters, algorithm, pruning flag, cross-product flag); JSON
   persistence via :mod:`repro.serialize`.
 * :class:`ServiceMetrics` / :class:`LatencyHistogram` — monotonic
-  counters (including deadline timeouts, heuristic fallbacks, degraded
-  servings and retries) and p50/p95/p99 latency tracking per algorithm.
+  counters (including deadline timeouts, degraded servings, anytime
+  salvages and retries) and p50/p95/p99 latency tracking per algorithm.
 * :mod:`repro.service.resilience` — admission control against a ccp
   budget, the exact→DPconv→IKKBZ→GOO degradation ladder (the DPconv
   rung answers over-budget symmetric-cost queries with the *exact*

@@ -20,13 +20,17 @@ requesting query's numbering and relation names on a hit, so a hit costs
 one canonical labeling plus a tree copy — orders of magnitude below
 enumeration for anything non-trivial.
 
-Batches run on one of three executors — ``"serial"``, ``"thread"``, or
-``"process"`` — with optional per-item ``deadline_seconds`` and an
-optional greedy-heuristic fallback plan for items that blow the budget.
-The process executor (:mod:`repro.service.executor`) is the one that
-actually uses multiple cores and the only one that can reclaim a hung
-worker; the cache always lives in the parent, so hit behaviour is
-identical across executors.
+Every request runs through one pipeline — prepare (canonicalize + cache
+lookup) → admit → complete (degraded rung, or enumerate → store) — on
+one of two transports: in-process ``"serial"`` (``optimize`` and the
+default batch executor) or the ``"process"`` pool
+(:mod:`repro.service.executor`), which ships only the exact enumeration
+to worker processes.  The process pool is the one that uses multiple
+cores and the only one that can reclaim a hung, non-cooperative engine;
+the cache, admission and ladder always live in the parent, so results
+are identical across transports.  A batch ``deadline_seconds`` is
+shipped into each item's request as a cooperative engine budget, so
+budget-capable engines stop themselves and salvage.
 
 On top of that sits the **resilience layer**
 (:mod:`repro.service.resilience`): before any exact enumeration the
@@ -48,20 +52,9 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeoutError
+import warnings
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import bitset
 from repro.catalog.statistics import Catalog
@@ -83,8 +76,13 @@ from repro.optimizer.api import (
     optimize_request,
 )
 from repro.plan.jointree import JoinTree
+from repro.serialize import request_to_dict, result_from_dict
 from repro.service.cache import CacheEntry, PlanCache
-from repro.service.executor import EXECUTORS, ProcessPoolExecutor
+from repro.service.executor import (
+    EXECUTORS,
+    ProcessPoolExecutor,
+    cooperative_deadline,
+)
 from repro.service.faults import FaultInjector
 from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import NULL_TRACE, Trace, Tracer, TraceStore
@@ -99,9 +97,6 @@ from repro.service.resilience import (
 )
 
 __all__ = ["OptimizerService", "request_signature"]
-
-#: Accepted ``fallback=`` values for ``optimize_batch``.
-_FALLBACKS = (None, "goo")
 
 
 def _round_significant(value: float, digits: int) -> float:
@@ -300,16 +295,9 @@ class OptimizerService:
     round_digits:
         Significant digits statistics are rounded to for cache keying;
         lower values trade plan-quality fidelity for a higher hit rate.
-    default_executor:
-        Batch backend when ``optimize_batch`` is not told otherwise:
-        ``"thread"`` (default), ``"process"``, or ``"serial"``.
     default_deadline_seconds:
-        Per-item wall-clock budget applied to batches that do not pass
+        Wall-clock batch budget applied to batches that do not pass
         their own ``deadline_seconds`` (``None`` = no deadline).
-    process_start_method:
-        ``multiprocessing`` start method for the process executor
-        (``None`` = platform default; ``fork`` on Linux keeps plugin
-        algorithms registered in the parent visible to workers).
     resilience:
         :class:`~repro.service.resilience.ResilienceConfig` with the
         admission budget, breaker, and retry knobs (``None`` = defaults:
@@ -336,9 +324,8 @@ class OptimizerService:
         (``None`` = slow log off).
 
     The service is thread-safe: ``optimize`` may be called concurrently,
-    and ``optimize_batch`` runs items on a worker pool with per-item
-    error isolation (a failing query yields a result with ``error`` set
-    instead of poisoning the batch).
+    and ``optimize_batch`` isolates per-item errors (a failing query
+    yields a result with ``error`` set instead of poisoning the batch).
     """
 
     def __init__(
@@ -347,28 +334,19 @@ class OptimizerService:
         default_algorithm: str = "auto",
         default_cost_model: Optional[CostModel] = None,
         round_digits: int = 4,
-        default_executor: str = "thread",
         default_deadline_seconds: Optional[float] = None,
-        process_start_method: Optional[str] = None,
         resilience: Optional[ResilienceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = True,
         trace_capacity: int = 256,
         slow_log_ms: Optional[float] = None,
     ):
-        if default_executor not in EXECUTORS:
-            raise OptimizationError(
-                f"unknown executor {default_executor!r}; "
-                f"choose from {sorted(EXECUTORS)}"
-            )
         self.cache = PlanCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_algorithm = default_algorithm
         self.default_cost_model = default_cost_model
         self.round_digits = round_digits
-        self.default_executor = default_executor
         self.default_deadline_seconds = default_deadline_seconds
-        self.process_start_method = process_start_method
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.breaker = CircuitBreaker(
             threshold=self.resilience.breaker_threshold,
@@ -429,47 +407,7 @@ class OptimizerService:
         accepts.  Raises the library's usual typed errors on failure; use
         :meth:`optimize_batch` for isolated per-item errors.
         """
-        request = self._as_request(query, **overrides)
-        trace = self.tracer.start("optimize", tag=request.tag)
-        started = time.perf_counter()
-        try:
-            result, effective = self._execute(request, trace=trace)
-        except ReproError as exc:
-            label = self._effective_label(request)
-            self.metrics.observe(
-                label,
-                time.perf_counter() - started,
-                error=True,
-            )
-            trace.set_root("error", f"{type(exc).__name__}: {exc}")
-            self.tracer.finish(trace, algorithm=label)
-            raise
-        self.metrics.observe(
-            effective,
-            time.perf_counter() - started,
-            cache_hit=result.cache_hit,
-            degraded=bool(result.details.get("degraded")),
-            fast_exact=(
-                not result.cache_hit and bool(result.details.get("fast_exact"))
-            ),
-            anytime=(
-                not result.cache_hit and bool(result.details.get("anytime"))
-            ),
-            salvage_fraction=(
-                None
-                if result.cache_hit
-                else (result.details.get("salvage") or {}).get(
-                    "memo_solved_fraction"
-                )
-            ),
-            kernel=None if result.cache_hit else result.details.get("kernel"),
-            backend=None if result.cache_hit else result.details.get("backend"),
-        )
-        result.trace_id = trace.trace_id
-        self.tracer.finish(
-            trace, algorithm=effective, cache_hit=result.cache_hit
-        )
-        return result
+        return self._serve(self._as_request(query, **overrides), raise_errors=True)
 
     def _prepare(
         self, request: OptimizationRequest, trace: Trace = NULL_TRACE
@@ -688,12 +626,14 @@ class OptimizerService:
         the request falls through to the heuristics.
         """
         started = time.perf_counter()
-        if rung == "anytime":
-            deadline = self._anytime_deadline(job)
+        if rung in ("anytime", "dpconv"):
+            if rung == "anytime":
+                deadline = self._anytime_deadline(job)
+                run_request = replace(job.run_request, deadline_seconds=deadline)
+            else:
+                run_request = replace(job.run_request, algorithm="dpconv")
             try:
-                result = optimize_request(
-                    replace(job.run_request, deadline_seconds=deadline)
-                )
+                result = optimize_request(run_request)
             except ReproError:
                 rung = heuristic_rung_for(job.catalog.graph)
             else:
@@ -701,55 +641,21 @@ class OptimizerService:
                 if result.details.get("anytime"):
                     # Salvaged: a valid plan, at most the pure-GOO cost,
                     # but not the exact optimum — do not cache.
-                    details = dict(result.details)
-                    details.update(
-                        {
-                            "degraded": 1,
-                            "rung": "anytime",
-                            "degrade_reason": reason,
-                            "anytime_deadline_seconds": deadline,
-                        }
-                    )
-                    details.update(extra)
-                    result.details = details
+                    stamp = {"degraded": 1}
                     result.algorithm = job.request.algorithm
                     result.tag = job.request.tag
-                    return result
-                # The engine beat the deadline: this is the exact
-                # optimum, served and cached exactly like the fast-exact
-                # rung (only the provenance stamp differs).
-                self._store(job, result)
-                details = dict(result.details)
-                details.update(
-                    {
-                        "fast_exact": 1,
-                        "rung": "anytime",
-                        "degrade_reason": reason,
-                        "anytime_deadline_seconds": deadline,
-                    }
-                )
-                details.update(extra)
-                result.details = details
-                return result
-        if rung == "dpconv":
-            try:
-                result = optimize_request(
-                    replace(job.run_request, algorithm="dpconv")
-                )
-            except ReproError:
-                rung = heuristic_rung_for(job.catalog.graph)
-            else:
-                result.elapsed_seconds = time.perf_counter() - started
-                # Cache first: the stored entry keeps clean enumeration
-                # details, while the returned result carries the ladder
-                # provenance for this serve only.
-                self._store(job, result)
-                details = dict(result.details)
-                details.update(
-                    {"fast_exact": 1, "rung": "dpconv", "degrade_reason": reason}
-                )
-                details.update(extra)
-                result.details = details
+                else:
+                    # The exact optimum from a cheaper engine, or from an
+                    # engine that beat its deadline.  Cache first: the
+                    # stored entry keeps clean enumeration details, while
+                    # the returned result carries the ladder provenance
+                    # for this serve only.
+                    stamp = {"fast_exact": 1}
+                    self._store(job, result)
+                stamp.update(rung=rung, degrade_reason=reason)
+                if rung == "anytime":
+                    stamp["anytime_deadline_seconds"] = deadline
+                result.details = {**result.details, **stamp, **extra}
                 return result
         try:
             plan, rung_used = run_rung(rung, job.catalog)
@@ -776,29 +682,42 @@ class OptimizerService:
             tag=job.request.tag,
         )
 
-    def _execute(
-        self,
-        request: OptimizationRequest,
-        cancelled: Optional[Callable[[], bool]] = None,
-        trace: Trace = NULL_TRACE,
-    ) -> Tuple[OptimizationResult, str]:
-        """Run one request: cache hit, degraded rung, or exact enumeration.
+    # -- the pipeline: prepare → admit → complete ----------------------
 
-        ``cancelled`` is the soft-deadline guard of the threaded backend:
-        when it reports True after the enumeration finished, the caller
-        has already synthesized a timeout result for this item, so the
-        late result must not warm the cache, feed the breaker, or touch
-        anything else shared — it is simply discarded.
-        """
-        job = self._prepare(request, trace=trace)
-        if job.hit is not None:
-            return job.hit, job.effective
+    def _admit(
+        self, job: _PreparedJob, trace: Trace
+    ) -> Optional[Tuple[str, str, Dict]]:
+        """Admission step: the ladder rung to serve ``job`` from, or None."""
         with trace.span("admission") as span:
             degrade = self._select_degradation(job)
             span.set("admitted", degrade is None)
             span.set("breaker_state", self.breaker.state(job.effective))
             if degrade is not None:
                 span.annotate(rung=degrade[0], reason=degrade[1], **degrade[2])
+        return degrade
+
+    def _ship_deadline(
+        self, job: _PreparedJob, budget: Optional[float]
+    ) -> OptimizationRequest:
+        """The exact-enumeration request, carrying ``budget`` if it can stop.
+
+        A budget-capable engine gets the tighter of its own deadline and
+        the caller's remaining ``budget`` as a cooperative deadline, so
+        it stops itself and salvages; any other engine runs as asked.
+        """
+        if budget is None or not self._budget_capable(job):
+            return job.run_request
+        ship, _ = cooperative_deadline(budget, job.run_request.deadline_seconds)
+        return replace(job.run_request, deadline_seconds=ship)
+
+    def _complete(
+        self,
+        job: _PreparedJob,
+        degrade: Optional[Tuple[str, str, Dict]],
+        trace: Trace,
+        budget: Optional[float] = None,
+    ) -> OptimizationResult:
+        """Serve an admitted job in-process: ladder rung or exact run."""
         if degrade is not None:
             with trace.span("degraded_rung") as span:
                 result = self._run_degraded(job, *degrade)
@@ -808,10 +727,10 @@ class OptimizerService:
                     kernel=result.details.get("kernel"),
                     backend=result.details.get("backend"),
                 )
-            return result, job.effective
+            return result
         try:
             with trace.span("enumerate", algorithm=job.effective) as span:
-                result = optimize_request(job.run_request)
+                result = optimize_request(self._ship_deadline(job, budget))
                 span.annotate(
                     memo_entries=result.memo_entries,
                     cost_evaluations=result.cost_evaluations,
@@ -819,21 +738,105 @@ class OptimizerService:
                     **result.details,
                 )
         except Exception:
-            if cancelled is None or not cancelled():
-                self.breaker.record_failure(job.effective)
+            self.breaker.record_failure(job.effective)
             raise
-        if cancelled is None or not cancelled():
-            self.breaker.record_success(job.effective)
-            if result.details.get("anytime"):
-                # The request's own budget expired mid-run: the salvaged
-                # plan is valid but not the exact optimum the cache
-                # promises — stamp the service fields and skip the store.
-                result.algorithm = job.request.algorithm
-                result.tag = job.request.tag
-            else:
-                with trace.span("store"):
-                    self._store(job, result)
-        return result, job.effective
+        return self._accept(job, result, trace)
+
+    def _accept(
+        self, job: _PreparedJob, result: OptimizationResult, trace: Trace
+    ) -> OptimizationResult:
+        """Credit the breaker with a finished exact run and cache it.
+
+        A run whose own budget expired mid-run returns a salvaged plan:
+        valid, but not the exact optimum the cache promises — it gets
+        the service fields stamped and skips the store.
+        """
+        self.breaker.record_success(job.effective)
+        if result.details.get("anytime"):
+            result.algorithm = job.request.algorithm
+            result.tag = job.request.tag
+        else:
+            with trace.span("store"):
+                self._store(job, result)
+        return result
+
+    def _record_success(
+        self,
+        label: str,
+        trace: Trace,
+        elapsed: float,
+        result: OptimizationResult,
+        **extra,
+    ) -> OptimizationResult:
+        """Count a served result, stamp its trace id, and close its trace."""
+        if result.cache_hit:
+            self.metrics.observe(label, elapsed, cache_hit=True)
+        else:
+            details = result.details
+            self.metrics.observe(
+                label,
+                elapsed,
+                degraded=bool(details.get("degraded")),
+                fast_exact=bool(details.get("fast_exact")),
+                anytime=bool(details.get("anytime")),
+                salvage_fraction=(details.get("salvage") or {}).get(
+                    "memo_solved_fraction"
+                ),
+                kernel=details.get("kernel"),
+                backend=details.get("backend"),
+                **extra,
+            )
+        result.trace_id = trace.trace_id
+        self.tracer.finish(trace, algorithm=label, cache_hit=result.cache_hit)
+        return result
+
+    def _record_error(
+        self,
+        request: OptimizationRequest,
+        trace: Trace,
+        elapsed: float,
+        exc: BaseException,
+    ) -> OptimizationResult:
+        """Count a failed request, close its trace, and build its result."""
+        label = self._effective_label(request)
+        self.metrics.observe(label, elapsed, error=True)
+        trace.set_root("error", f"{type(exc).__name__}: {exc}")
+        self.tracer.finish(trace, algorithm=label)
+        result = self._error_result(request.algorithm, request.tag, exc, elapsed)
+        result.trace_id = trace.trace_id
+        return result
+
+    def _serve(
+        self,
+        request: OptimizationRequest,
+        budget: Optional[float] = None,
+        raise_errors: bool = False,
+    ) -> OptimizationResult:
+        """Run one request through the whole pipeline in this process.
+
+        ``budget`` is the caller's remaining wall-clock budget, shipped
+        to a budget-capable engine as its cooperative deadline.  Errors
+        become an error result, or are re-raised with ``raise_errors``.
+        """
+        trace = self.tracer.start("optimize", tag=request.tag)
+        started = time.perf_counter()
+        try:
+            job = self._prepare(request, trace=trace)
+            result = job.hit
+            if result is None:
+                result = self._complete(
+                    job, self._admit(job, trace), trace, budget
+                )
+        except Exception as exc:
+            error = self._record_error(
+                request, trace, time.perf_counter() - started, exc
+            )
+            if raise_errors:
+                raise
+            return error
+        return self._record_success(
+            job.effective, trace, time.perf_counter() - started, result
+        )
 
     # ------------------------------------------------------------------
 
@@ -845,7 +848,6 @@ class OptimizerService:
         workers: int = 4,
         executor: Optional[str] = None,
         deadline_seconds: Optional[float] = None,
-        fallback: Optional[str] = None,
     ) -> List[OptimizationResult]:
         """Optimize many queries, isolating per-item failures.
 
@@ -858,49 +860,35 @@ class OptimizerService:
         Parameters
         ----------
         workers:
-            Pool width.  With ``executor=None``, ``workers <= 1`` runs
-            serially on the calling thread (legacy behaviour).
+            Process pool width (the serial executor ignores it).
         executor:
-            ``"serial"``, ``"thread"``, or ``"process"`` (``None`` uses
-            the service default).  ``"process"`` runs items in worker
-            processes — the only mode where CPU-bound enumeration
-            actually uses multiple cores, and the only one that can
-            reclaim a hung item by recycling its worker.  It requires
+            ``"serial"`` (default) runs items one by one on the calling
+            thread.  ``"process"`` runs the exact enumerations in worker
+            processes — the only mode where CPU-bound enumeration uses
+            multiple cores, and the only one that can reclaim a hung
+            non-cooperative engine by recycling its worker.  It requires
             requests to be serializable (built-in cost models only).
+            ``"thread"`` is a deprecated alias of ``"serial"``.
         deadline_seconds:
-            Per-item wall-clock budget (``None`` = service default).
-            In process mode the deadline is enforced by terminating the
-            worker; the item resolves within roughly the deadline plus
-            scheduling slack, never hanging the batch.  In thread mode
-            the deadline is *soft* and the budget is anchored at batch
-            start: each item is waited on only for what remains of that
-            shared budget, so the whole batch resolves within ~one
-            deadline even if several items hang, and a synthesized
-            timeout result reports the item's true elapsed time.  The
-            abandoned computation finishes in the background (CPython
-            threads cannot be killed) and its late result is discarded —
-            it does not warm the cache, feed the circuit breaker, or
-            appear in the metrics; a queued item that never started is
-            cancelled outright.  Serial mode ignores deadlines — items
-            run to completion one by one.
-        fallback:
-            ``"goo"`` to serve a greedy-operator-ordering heuristic plan
-            (:func:`repro.heuristics.greedy_operator_ordering`) for items
-            that exceed the deadline instead of an error result.  The
-            fallback plan is marked ``details={"deadline_timeout": 1,
-            "fallback_goo": 1}`` and is **not** cached (it is not the
-            exact optimum the cache promises).
+            Wall-clock budget (``None`` = service default), shipped to
+            budget-capable engines as a cooperative deadline so they stop
+            and salvage.  Serially it is one budget from batch start; an
+            item reached after it is spent resolves to a
+            ``DeadlineExceededError`` result without running.  In process
+            mode each item gets it from dispatch, and a worker that
+            misses it (plus the cooperative grace) is killed instead.
         """
-        if executor is None:
-            executor = "serial" if workers <= 1 else self.default_executor
+        if executor == "thread":
+            warnings.warn(
+                "executor='thread' is deprecated; it runs the serial executor",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            executor = "serial"
+        executor = executor or "serial"
         if executor not in EXECUTORS:
             raise OptimizationError(
                 f"unknown executor {executor!r}; choose from {sorted(EXECUTORS)}"
-            )
-        if fallback not in _FALLBACKS:
-            raise OptimizationError(
-                f"unknown fallback {fallback!r}; choose from "
-                f"{[f for f in _FALLBACKS if f]} or None"
             )
         if deadline_seconds is None:
             deadline_seconds = self.default_deadline_seconds
@@ -917,169 +905,36 @@ class OptimizerService:
             except Exception as exc:
                 # The query object itself is malformed — possibly not
                 # even raising a library error (e.g. a TypeError from a
-                # garbage object).  Mirror _run_isolated: synthesize the
-                # error result instead of poisoning the batch.
+                # garbage object).  Synthesize the error result instead
+                # of poisoning the batch.
                 requests.append(None)
                 slots.append(self._error_result("invalid", None, exc, 0.0))
                 self.metrics.observe("invalid", 0.0, error=True)
         if executor == "serial":
-            for index, request in enumerate(requests):
-                if slots[index] is None:
-                    slots[index] = self._run_isolated(request)
-        elif executor == "thread":
-            self._run_batch_threaded(
-                requests, slots, workers, deadline_seconds, fallback
-            )
+            self._run_batch_serial(requests, slots, deadline_seconds)
         else:
-            self._run_batch_process(
-                requests, slots, workers, deadline_seconds, fallback
-            )
+            self._run_batch_process(requests, slots, workers, deadline_seconds)
         return slots  # type: ignore[return-value]
 
-    # -- thread / serial backends --------------------------------------
-
-    def _run_isolated(
-        self,
-        request: OptimizationRequest,
-        abandoned: Optional[Set[int]] = None,
-        index: Optional[int] = None,
-        started_at: Optional[Dict[int, float]] = None,
-    ) -> OptimizationResult:
-        """Run one request, converting any exception into an error result.
-
-        ``abandoned`` is the soft-deadline coordination set of the
-        threaded backend: if our index appears there by the time we
-        finish, the caller already synthesized a timeout result for this
-        item, so the (completed) work is discarded — it must not warm
-        the cache, feed the circuit breaker, or be double-counted in the
-        metrics (see the ``cancelled`` guard in :meth:`_execute`).
-        ``started_at`` is the threaded backend's per-item start-time map,
-        recorded here (on the worker thread) so a synthesized timeout
-        result can report the item's *true* elapsed time.
-        """
-        if started_at is not None and index is not None:
-            started_at[index] = time.monotonic()
-        trace = self.tracer.start("optimize", tag=request.tag)
-        started = time.perf_counter()
-        cancelled: Optional[Callable[[], bool]] = None
-        if abandoned is not None:
-            cancelled = lambda: index in abandoned  # noqa: E731
-        try:
-            result, effective = self._execute(
-                request, cancelled=cancelled, trace=trace
-            )
-        except Exception as exc:  # per-item isolation: never kill the batch
-            elapsed = time.perf_counter() - started
-            label = self._effective_label(request)
-            late = cancelled is not None and cancelled()
-            if not late:
-                self.metrics.observe(label, elapsed, error=True)
-            trace.set_root("error", f"{type(exc).__name__}: {exc}")
-            if late:
-                trace.set_root("abandoned", 1)
-            self.tracer.finish(trace, algorithm=label)
-            return self._error_result(request.algorithm, request.tag, exc, elapsed)
-        late = cancelled is not None and cancelled()
-        if not late:
-            self.metrics.observe(
-                effective,
-                time.perf_counter() - started,
-                cache_hit=result.cache_hit,
-                degraded=bool(result.details.get("degraded")),
-                fast_exact=(
-                    not result.cache_hit
-                    and bool(result.details.get("fast_exact"))
-                ),
-                anytime=(
-                    not result.cache_hit
-                    and bool(result.details.get("anytime"))
-                ),
-                salvage_fraction=(
-                    None
-                    if result.cache_hit
-                    else (result.details.get("salvage") or {}).get(
-                        "memo_solved_fraction"
-                    )
-                ),
-                kernel=(
-                    None if result.cache_hit else result.details.get("kernel")
-                ),
-                backend=(
-                    None if result.cache_hit else result.details.get("backend")
-                ),
-            )
-        else:
-            trace.set_root("abandoned", 1)
-        result.trace_id = trace.trace_id
-        self.tracer.finish(
-            trace, algorithm=effective, cache_hit=result.cache_hit
-        )
-        return result
-
-    def _run_batch_threaded(
+    def _run_batch_serial(
         self,
         requests: List[Optional[OptimizationRequest]],
         slots: List[Optional[OptimizationResult]],
-        workers: int,
         deadline_seconds: Optional[float],
-        fallback: Optional[str],
     ) -> None:
-        abandoned: Set[int] = set()
-        started_at: Dict[int, float] = {}
-        pool = ThreadPoolExecutor(max_workers=max(1, workers))
         batch_started = time.monotonic()
-        try:
-            futures = {
-                index: pool.submit(
-                    self._run_isolated,
-                    requests[index],
-                    abandoned,
-                    index,
-                    started_at,
-                )
-                for index in range(len(requests))
-                if slots[index] is None
-            }
-            for index, future in futures.items():
-                # The budget is anchored at batch start and shared: each
-                # future is waited on only for what remains, so N hung
-                # items resolve in ~1x the deadline, not N x — waiting a
-                # full budget per item would let every timed-out item
-                # push all later items' effective deadlines back.
-                if deadline_seconds is None:
-                    remaining = None
-                else:
-                    remaining = max(
-                        0.0, batch_started + deadline_seconds - time.monotonic()
-                    )
-                try:
-                    slots[index] = future.result(timeout=remaining)
-                except _FutureTimeoutError:
-                    if future.cancel():
-                        # Never started — no thread to coordinate with,
-                        # and no point burning a core on a result the
-                        # batch has already given up on.
-                        elapsed = 0.0
-                    else:
-                        abandoned.add(index)
-                        item_started = started_at.get(index)
-                        elapsed = (
-                            time.monotonic() - item_started
-                            if item_started is not None
-                            else 0.0
-                        )
+        for index, request in enumerate(requests):
+            if slots[index] is not None:
+                continue
+            budget = None
+            if deadline_seconds is not None:
+                budget = batch_started + deadline_seconds - time.monotonic()
+                if budget <= 0:
                     slots[index] = self._deadline_result(
-                        requests[index],
-                        deadline_seconds,
-                        fallback,
-                        elapsed=elapsed,
+                        request, deadline_seconds, elapsed=0.0
                     )
-        finally:
-            # Do NOT wait: a straggler past its deadline keeps running
-            # (threads cannot be killed) but must not block the batch.
-            pool.shutdown(wait=False)
-
-    # -- process backend -----------------------------------------------
+                    continue
+            slots[index] = self._serve(request, budget)
 
     def _run_batch_process(
         self,
@@ -1087,12 +942,14 @@ class OptimizerService:
         slots: List[Optional[OptimizationResult]],
         workers: int,
         deadline_seconds: Optional[float],
-        fallback: Optional[str],
     ) -> None:
-        from repro.serialize import request_to_dict, result_from_dict
+        """Prepare and admit in the parent; ship only exact enumerations.
 
-        jobs: Dict[int, _PreparedJob] = {}
-        traces: Dict[int, Trace] = {}
+        Cache hits and ladder rungs are served here exactly as
+        :meth:`_serve` would; the process pool only runs the enumerable
+        jobs, whose worker spans are grafted into the parent's trace.
+        """
+        shipped: Dict[int, Tuple[_PreparedJob, Trace]] = {}
         documents: List[Tuple[int, Dict]] = []
         for index, request in enumerate(requests):
             if slots[index] is not None:
@@ -1101,112 +958,31 @@ class OptimizerService:
             started = time.perf_counter()
             try:
                 job = self._prepare(request, trace=trace)
-            except Exception as exc:
-                elapsed = time.perf_counter() - started
-                label = self._effective_label(request)
-                self.metrics.observe(label, elapsed, error=True)
-                trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                self.tracer.finish(trace, algorithm=label)
-                slots[index] = self._error_result(
-                    request.algorithm, request.tag, exc, elapsed
-                )
-                continue
-            if job.hit is not None:
-                self.metrics.observe(
-                    job.effective, job.hit.elapsed_seconds, cache_hit=True
-                )
-                job.hit.trace_id = trace.trace_id
-                self.tracer.finish(
-                    trace, algorithm=job.effective, cache_hit=True
-                )
-                slots[index] = job.hit
-                continue
-            with trace.span("admission") as span:
-                degrade = self._select_degradation(job)
-                span.set("admitted", degrade is None)
-                span.set("breaker_state", self.breaker.state(job.effective))
-                if degrade is not None:
-                    span.annotate(
-                        rung=degrade[0], reason=degrade[1], **degrade[2]
-                    )
-            if degrade is not None:
-                try:
-                    with trace.span("degraded_rung") as span:
-                        result = self._run_degraded(job, *degrade)
-                        span.annotate(
-                            rung=result.details.get("rung"),
-                            reason=result.details.get("degrade_reason"),
-                            kernel=result.details.get("kernel"),
-                            backend=result.details.get("backend"),
+                result = job.hit
+                if result is None:
+                    degrade = self._admit(job, trace)
+                    if degrade is None:
+                        document = self._job_document(
+                            job, deadline_seconds, trace
                         )
-                except Exception as exc:
-                    elapsed = time.perf_counter() - started
-                    self.metrics.observe(job.effective, elapsed, error=True)
-                    trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                    self.tracer.finish(trace, algorithm=job.effective)
-                    slots[index] = self._error_result(
-                        request.algorithm, request.tag, exc, elapsed
-                    )
-                    continue
-                self.metrics.observe(
-                    job.effective,
-                    result.elapsed_seconds,
-                    degraded=bool(result.details.get("degraded")),
-                    fast_exact=bool(result.details.get("fast_exact")),
-                    anytime=bool(result.details.get("anytime")),
-                    salvage_fraction=(result.details.get("salvage") or {}).get(
-                        "memo_solved_fraction"
-                    ),
-                    kernel=result.details.get("kernel"),
-                    backend=result.details.get("backend"),
-                )
-                result.trace_id = trace.trace_id
-                self.tracer.finish(trace, algorithm=job.effective)
-                slots[index] = result
-                continue
-            run_request = job.run_request
-            if deadline_seconds is not None and self._budget_capable(job):
-                # Ship the batch deadline to the worker so its engine
-                # stops cooperatively and salvages instead of being
-                # hard-killed; the executor only escalates to terminate
-                # if the worker misses the grace period on top.
-                budget_deadline = deadline_seconds
-                if run_request.deadline_seconds is not None:
-                    budget_deadline = min(
-                        budget_deadline, run_request.deadline_seconds
-                    )
-                run_request = replace(
-                    run_request, deadline_seconds=budget_deadline
-                )
-            try:
-                document = request_to_dict(run_request)
+                        shipped[index] = (job, trace)
+                        documents.append((index, document))
+                        continue
+                    result = self._complete(job, degrade, trace)
             except Exception as exc:
-                elapsed = time.perf_counter() - started
-                # The breaker admitted this job (possibly as a half-open
-                # probe); resolve the slot it holds.
-                self.breaker.record_failure(job.effective)
-                self.metrics.observe(job.effective, elapsed, error=True)
-                trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                self.tracer.finish(trace, algorithm=job.effective)
-                slots[index] = self._error_result(
-                    request.algorithm, request.tag, exc, elapsed
+                slots[index] = self._record_error(
+                    request, trace, time.perf_counter() - started, exc
                 )
                 continue
-            if trace.is_recording:
-                # Trace context travels inside the job document; the
-                # worker strips it before deserializing the request and
-                # returns its spans in the outcome.
-                document["trace"] = {"version": 1, "trace_id": trace.trace_id}
-            jobs[index] = job
-            traces[index] = trace
-            documents.append((index, document))
+            slots[index] = self._record_success(
+                job.effective, trace, time.perf_counter() - started, result
+            )
         if not documents:
             return
         cfg = self.resilience
         backend = ProcessPoolExecutor(
             workers=max(1, workers),
             deadline_seconds=deadline_seconds,
-            start_method=self.process_start_method,
             retry_policy=cfg.retry_policy(),
             retry_budget=(
                 RetryBudget(cfg.retry_budget_per_batch)
@@ -1215,10 +991,8 @@ class OptimizerService:
             ),
             fault_injector=self.fault_injector,
         )
-        outcomes = backend.run(documents)
-        for index, outcome in outcomes.items():
-            job = jobs[index]
-            trace = traces.get(index, NULL_TRACE)
+        for index, outcome in backend.run(documents).items():
+            job, trace = shipped[index]
             if outcome.spans:
                 # Worker spans carry offsets relative to the job's start
                 # in the worker; anchor them so they sit roughly where
@@ -1229,127 +1003,85 @@ class OptimizerService:
             if outcome.retries:
                 trace.set_root("retries", outcome.retries)
             if outcome.status == "ok":
-                result = result_from_dict(outcome.document)
-                anytime = bool(result.details.get("anytime"))
-                if anytime:
-                    # The worker's budget expired and it salvaged: a
-                    # valid plan, but not the exact optimum the cache
-                    # promises — stamp the service fields, skip the
-                    # store.  Without cooperation this item would have
-                    # been a hard-killed timeout.
-                    result.algorithm = job.request.algorithm
-                    result.tag = job.request.tag
-                else:
-                    with trace.span("store"):
-                        self._store(job, result)
-                self.breaker.record_success(job.effective)
-                self.metrics.observe(
+                result = self._accept(
+                    job, result_from_dict(outcome.document), trace
+                )
+                # A salvaged answer under a batch deadline is one the
+                # pool would otherwise have had to hard-kill.
+                slots[index] = self._record_success(
                     job.effective,
+                    trace,
                     outcome.elapsed_seconds,
-                    cache_hit=False,
-                    anytime=anytime,
-                    hard_kill_avoided=(
-                        anytime and deadline_seconds is not None
-                    ),
-                    salvage_fraction=(
-                        (result.details.get("salvage") or {}).get(
-                            "memo_solved_fraction"
-                        )
-                        if anytime
-                        else None
-                    ),
+                    result,
                     retries=outcome.retries,
-                    kernel=result.details.get("kernel"),
-                    backend=result.details.get("backend"),
+                    hard_kill_avoided=(
+                        deadline_seconds is not None
+                        and bool(result.details.get("anytime"))
+                    ),
                 )
-                result.trace_id = trace.trace_id
-                self.tracer.finish(
-                    trace, algorithm=job.effective, cache_hit=False
-                )
-                slots[index] = result
-            elif outcome.status == "timeout":
+                continue
+            # A timeout, error or crash is a breaker failure: repeated
+            # hangs on the same path open the circuit like crashes do.
+            self.breaker.record_failure(job.effective)
+            if outcome.status == "timeout":
                 slots[index] = self._deadline_result(
                     job.request,
                     deadline_seconds,
-                    fallback,
-                    catalog=job.catalog,
-                    effective=job.effective,
+                    label=job.effective,
                     elapsed=outcome.elapsed_seconds,
                     retries=outcome.retries,
                 )
-                slots[index].trace_id = trace.trace_id
                 trace.set_root("error", "deadline exceeded")
-                self.tracer.finish(
-                    trace, algorithm=job.effective, status="timeout"
-                )
             else:  # "error" or "crashed"
-                self.breaker.record_failure(job.effective)
                 self.metrics.observe(
                     job.effective,
                     outcome.elapsed_seconds,
                     error=True,
                     retries=outcome.retries,
                 )
+                slots[index] = self._error_result(
+                    job.request.algorithm,
+                    job.request.tag,
+                    outcome.error,
+                    outcome.elapsed_seconds,
+                )
                 trace.set_root("error", outcome.error)
-                self.tracer.finish(
-                    trace, algorithm=job.effective, status=outcome.status
-                )
-                slots[index] = OptimizationResult(
-                    plan=None,
-                    algorithm=job.request.algorithm,
-                    elapsed_seconds=outcome.elapsed_seconds,
-                    memo_entries=0,
-                    cost_evaluations=0,
-                    cardinality_estimations=0,
-                    error=outcome.error,
-                    tag=job.request.tag,
-                    trace_id=trace.trace_id,
-                )
+            slots[index].trace_id = trace.trace_id
+            self.tracer.finish(
+                trace, algorithm=job.effective, status=outcome.status
+            )
 
-    # -- deadline handling ---------------------------------------------
+    def _job_document(
+        self,
+        job: _PreparedJob,
+        deadline_seconds: Optional[float],
+        trace: Trace,
+    ) -> Dict:
+        """Serialize an admitted job's exact run for a worker process."""
+        try:
+            document = request_to_dict(self._ship_deadline(job, deadline_seconds))
+        except Exception:
+            # The breaker admitted this job (possibly as a half-open
+            # probe); resolve the slot it holds.
+            self.breaker.record_failure(job.effective)
+            raise
+        if trace.is_recording:
+            # Trace context travels inside the job document; the worker
+            # strips it before deserializing the request and returns its
+            # spans in the outcome.
+            document["trace"] = {"version": 1, "trace_id": trace.trace_id}
+        return document
 
     def _deadline_result(
         self,
         request: OptimizationRequest,
         deadline_seconds: Optional[float],
-        fallback: Optional[str],
-        catalog: Optional[Catalog] = None,
-        effective: Optional[str] = None,
-        elapsed: Optional[float] = None,
+        label: Optional[str] = None,
+        elapsed: float = 0.0,
         retries: int = 0,
     ) -> OptimizationResult:
-        """Resolve a timed-out item: heuristic fallback plan or error.
-
-        A deadline timeout counts as a breaker failure for the item's
-        algorithm label — repeated hangs on the same path open the
-        circuit just like repeated crashes do.
-        """
-        label = effective if effective is not None else self._effective_label(request)
-        elapsed = elapsed if elapsed is not None else (deadline_seconds or 0.0)
-        self.breaker.record_failure(label)
-        if fallback == "goo":
-            from repro.heuristics.goo import greedy_operator_ordering
-
-            try:
-                if catalog is None:
-                    catalog = request.resolved_catalog()
-                plan = greedy_operator_ordering(catalog)
-            except Exception:
-                plan = None
-            if plan is not None:
-                self.metrics.observe(
-                    label, elapsed, timeout=True, fallback=True, retries=retries
-                )
-                return OptimizationResult(
-                    plan=plan,
-                    algorithm=request.algorithm,
-                    elapsed_seconds=elapsed,
-                    memo_entries=0,
-                    cost_evaluations=0,
-                    cardinality_estimations=0,
-                    details={"deadline_timeout": 1, "fallback_goo": 1},
-                    tag=request.tag,
-                )
+        """Count a timed-out item and build its ``DeadlineExceededError`` result."""
+        label = label if label is not None else self._effective_label(request)
         self.metrics.observe(
             label, elapsed, error=True, timeout=True, retries=retries
         )
@@ -1360,6 +1092,7 @@ class OptimizerService:
 
     @staticmethod
     def _error_result(algorithm, tag, exc, elapsed) -> OptimizationResult:
+        """A failed result; ``exc`` may be a worker's "Type: message" string."""
         return OptimizationResult(
             plan=None,
             algorithm=algorithm,
@@ -1367,7 +1100,11 @@ class OptimizerService:
             memo_entries=0,
             cost_evaluations=0,
             cardinality_estimations=0,
-            error=ErrorInfo.from_exception(exc),
+            error=(
+                ErrorInfo.coerce(exc)
+                if isinstance(exc, str)
+                else ErrorInfo.from_exception(exc)
+            ),
             tag=tag,
         )
 

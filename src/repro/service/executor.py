@@ -1,11 +1,12 @@
 """Process-pool batch execution with per-item deadlines and retries.
 
-CPython's GIL serializes CPU-bound work across threads, so the service's
-threaded ``optimize_batch`` never uses more than one core for the actual
-enumeration — the very hot path the paper is about.  This module runs
-batch items in **worker processes** instead: requests travel to workers
-as :mod:`repro.serialize` documents (plain dicts), results travel back
-the same way, and the parent enforces a wall-clock **deadline** per item.
+CPython's GIL serializes CPU-bound work across threads, so an
+in-process ``optimize_batch`` never uses more than one core for the
+actual enumeration — the very hot path the paper is about.  This module
+runs the exact enumerations of a batch in **worker processes** instead:
+requests travel to workers as :mod:`repro.serialize` documents (plain
+dicts), results travel back the same way, and the parent enforces a
+wall-clock **deadline** per item.
 
 Design notes:
 
@@ -21,10 +22,11 @@ Design notes:
 * A job that carries its own cooperative ``deadline_seconds`` (see
   :mod:`repro.optimizer.budget`) is expected to stop **itself**: the
   worker's engine salvages a partial-memo plan at the deadline and
-  reports it as an ordinary ``"ok"``.  The parent grants such jobs a
-  ``cooperative_grace`` on top of the pool deadline and only escalates
-  terminate → kill when the worker misses it — hard kills become the
-  exception, not the enforcement mechanism.
+  reports it as an ordinary ``"ok"``.  :func:`cooperative_deadline`
+  decides which deadline a job ships and how long the parent waits for
+  it (:data:`COOPERATIVE_GRACE_SECONDS` on top of the budget); the
+  parent escalates terminate → kill only when the worker misses that
+  too — hard kills are the exception, not the enforcement mechanism.
 * **Transient failures are retried**: with a :class:`~repro.service.resilience.RetryPolicy`
   installed, a crash, pipe EOF, or corrupted payload re-queues the item
   with exponential backoff + deterministic jitter, up to the policy's
@@ -43,20 +45,25 @@ Design notes:
   With no injector configured the wire field is ``None`` and workers
   skip the machinery.
 * Workers run :func:`repro.optimizer.api.optimize_request` directly —
-  plan caching, metrics, and heuristic fallbacks stay in the parent
-  (:mod:`repro.service.core`), which is what keeps cache behaviour
-  identical across the serial/thread/process executors.
+  plan caching, admission, the degradation ladder and metrics stay in
+  the parent (:mod:`repro.service.core`), which is what keeps results
+  identical across the serial and process executors.
+* :class:`ChildProcess` is the one spawn → stop primitive (private
+  duplex pipe, sentinel → join → terminate → kill) shared by these
+  batch workers and the front door's shard processes
+  (:mod:`repro.service.sharding`).
 
-The default start method is the platform default (``fork`` on Linux), so
-algorithms registered before the batch are visible to workers.  Under
-``spawn`` workers re-import :mod:`repro` and only built-in registry names
-are available.
+Children start with ``fork`` where the platform has it (see
+:func:`_mp_context`), so algorithms registered before the batch are
+visible to workers.  Under ``spawn`` workers re-import :mod:`repro` and
+only built-in registry names are available.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -65,20 +72,56 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
 
-__all__ = ["ProcessPoolExecutor", "JobOutcome", "EXECUTORS"]
+__all__ = [
+    "COOPERATIVE_GRACE_SECONDS",
+    "ChildProcess",
+    "EXECUTORS",
+    "JobOutcome",
+    "ProcessPoolExecutor",
+    "cooperative_deadline",
+]
 
 #: Recognised ``executor=`` names for ``OptimizerService.optimize_batch``.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
-#: How long (seconds) to wait for a worker to exit politely before
-#: escalating terminate → kill during shutdown/recycling.
-_JOIN_GRACE = 5.0
+#: How long (seconds) to wait for a child to exit after its shutdown
+#: sentinel, and again after each terminate/kill escalation step.
+_EXIT_GRACE = 2.0
+_KILL_GRACE = 5.0
 
-#: Default extra wall-clock (seconds) granted past the pool deadline to
-#: jobs that carry a cooperative ``deadline_seconds`` of their own — the
-#: engine stops itself at the deadline; the grace only covers salvage
-#: and serialization before the parent assumes the worker is hung.
-_COOPERATIVE_GRACE = 1.0
+#: Extra wall-clock (seconds) a caller waits past a deadline it shipped
+#: into the request: the engine stops itself at the deadline; the grace
+#: only covers salvage and serialization before the caller assumes the
+#: child is hung and kills it.
+COOPERATIVE_GRACE_SECONDS = 1.0
+
+
+def cooperative_deadline(
+    budget: Optional[float], own: Optional[float], cooperative: bool = True
+) -> Tuple[Optional[float], Optional[float]]:
+    """Return ``(ship, wait)`` for a request its caller has ``budget`` for.
+
+    ``ship`` is the ``deadline_seconds`` the request should carry to its
+    engine and ``wait`` how long the caller waits for the answer before
+    it gives up (and, across a process boundary, kills the child).  A
+    ``cooperative`` engine gets the tighter of its own deadline and the
+    budget, and is waited on for the budget plus
+    :data:`COOPERATIVE_GRACE_SECONDS`; any other engine keeps its own
+    deadline and is waited on for the budget alone.  ``budget=None``
+    means the caller never gives up.
+    """
+    if budget is None:
+        return own, None
+    if not cooperative:
+        return own, budget
+    ship = budget if own is None else min(float(own), budget)
+    return ship, budget + COOPERATIVE_GRACE_SECONDS
+
+
+def _mp_context():
+    """Prefer ``fork`` (keeps parent-registered plugins visible)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 @dataclass
@@ -93,7 +136,7 @@ class JobOutcome:
       trace spans (:func:`repro.service.tracing.span_to_dict` wire
       dicts) for the parent to graft into the request's trace;
     * ``status == "error"`` — the worker raised; ``error`` is
-      ``"ExcType: message"``;
+      ``"ExcType: message"`` (``spans`` as for ``"ok"``);
     * ``status == "timeout"`` — the deadline expired and the worker was
       recycled;
     * ``status == "crashed"`` — the worker process died without
@@ -155,63 +198,102 @@ def _process_worker_main(connection) -> None:
                 except (BrokenPipeError, OSError):
                     return
                 continue
+        started = time.perf_counter()
+        result = None
         try:
-            started = time.perf_counter()
             result = optimize_request(request_from_dict(document))
-            if trace_context is not None:
-                span = Span("enumerate", start_s=started)
-                span.finish()
+            payload: Tuple = ("ok", result_to_dict(result))
+        except KeyboardInterrupt:
+            return
+        except BaseException as exc:
+            payload = ("error", type(exc).__name__, str(exc))
+        if trace_context is not None:
+            # One ``enumerate`` span per job, failed or not, so the
+            # parent's trace has the same shape as an in-process run.
+            span = Span("enumerate", start_s=started)
+            span.finish()
+            span.set("worker_pid", os.getpid())
+            if result is not None:
                 span.annotate(
                     algorithm=result.algorithm,
                     memo_entries=result.memo_entries,
                     cost_evaluations=result.cost_evaluations,
                     cardinality_estimations=result.cardinality_estimations,
-                    worker_pid=os.getpid(),
                     **result.details,
                 )
-                payload: Tuple = (
-                    "ok",
-                    result_to_dict(result),
-                    [span_to_dict(span, origin_s=started)],
-                )
-            else:
-                payload = ("ok", result_to_dict(result))
-        except KeyboardInterrupt:
-            return
-        except BaseException as exc:
-            payload = ("error", type(exc).__name__, str(exc))
+            payload += ([span_to_dict(span, origin_s=started)],)
         try:
             connection.send((index, payload))
         except (BrokenPipeError, OSError):
             return
 
 
-class _Worker:
-    """One recyclable worker process plus its private pipe."""
+def _child_main(target, connection, *args) -> None:
+    """Run ``target`` in a child that a SIGTERM always ends.
 
-    __slots__ = (
-        "connection",
-        "process",
-        "busy_index",
-        "busy_document",
-        "busy_attempt",
-        "started_at",
-    )
+    A forked child inherits the parent's signal handlers.  In a parent
+    that handles SIGTERM itself (the front door drains on it), the
+    terminate step of :meth:`ChildProcess.stop` would otherwise be
+    swallowed by the child — or, through the inherited signal wakeup
+    fd, delivered to the parent's event loop.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    target(connection, *args)
 
-    def __init__(self, context):
+
+class ChildProcess:
+    """A daemon child process plus the parent's end of its private pipe.
+
+    ``target(connection, *args)`` runs in the child.  :meth:`stop` is the
+    one shutdown path: send ``sentinel`` and wait for a polite exit, then
+    escalate terminate → kill.  Callers respawn by stopping a child and
+    constructing a fresh one.
+    """
+
+    __slots__ = ("connection", "process")
+
+    def __init__(self, target, args: Tuple = (), name: Optional[str] = None):
+        context = _mp_context()
         self.connection, child_connection = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_process_worker_main,
-            args=(child_connection,),
+            target=_child_main,
+            args=(target, child_connection) + tuple(args),
             daemon=True,
-            name="repro-optimizer-worker",
+            name=name,
         )
         self.process.start()
         child_connection.close()
-        self.busy_index: Optional[int] = None
-        self.busy_document: Optional[Dict[str, Any]] = None
-        self.busy_attempt: int = 0
-        self.started_at: Optional[float] = None
+
+    def stop(self, sentinel: Any = None, graceful: bool = True) -> None:
+        """Shut the child down; escalate if it will not die."""
+        try:
+            if graceful and self.process.is_alive():
+                try:
+                    self.connection.send(sentinel)
+                except (BrokenPipeError, OSError):
+                    pass
+                self.process.join(timeout=_EXIT_GRACE)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout=_KILL_GRACE)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=_KILL_GRACE)
+        finally:
+            try:
+                self.connection.close()
+            except OSError:
+                pass
+
+
+class _Worker(ChildProcess):
+    """One recyclable batch worker and the job it is running."""
+
+    __slots__ = ("busy_index", "busy_document", "busy_attempt", "started_at")
+
+    def __init__(self):
+        super().__init__(_process_worker_main, name="repro-optimizer-worker")
+        self.release()
 
     def assign(
         self,
@@ -235,27 +317,6 @@ class _Worker:
     def elapsed(self) -> float:
         return 0.0 if self.started_at is None else time.monotonic() - self.started_at
 
-    def stop(self, graceful: bool = True) -> None:
-        """Shut the worker down; escalate if it will not die."""
-        try:
-            if graceful and self.process.is_alive():
-                try:
-                    self.connection.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-                self.process.join(timeout=0.5)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=_JOIN_GRACE)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=_JOIN_GRACE)
-        finally:
-            try:
-                self.connection.close()
-            except OSError:
-                pass
-
 
 class ProcessPoolExecutor:
     """Run serialized optimization jobs on worker processes.
@@ -267,16 +328,10 @@ class ProcessPoolExecutor:
     deadline_seconds:
         Per-item wall-clock budget measured from dispatch.  ``None``
         disables enforcement.  An expired item's worker is terminated and
-        replaced; the item resolves to a ``"timeout"`` outcome.
-    cooperative_grace:
-        Extra seconds granted past ``deadline_seconds`` to jobs whose
-        request document carries its own ``deadline_seconds`` (a
-        cooperative engine budget): those workers stop themselves and
-        return a salvaged result, so the parent hard-kills only when the
-        grace is also missed.  ``0`` restores unconditional enforcement.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default,
-        i.e. ``fork`` on Linux so registered plugins carry over).
+        replaced; the item resolves to a ``"timeout"`` outcome.  A job
+        whose request document carries its own ``deadline_seconds`` stops
+        itself, so it is waited on for the grace of
+        :func:`cooperative_deadline` on top.
     retry_policy:
         :class:`~repro.service.resilience.RetryPolicy` governing retries
         of transient worker failures (crash, EOF, corrupted payload).
@@ -290,20 +345,17 @@ class ProcessPoolExecutor:
         directives are shipped to workers per ``(tag, attempt)`` — chaos
         testing only.
 
-    Use as a context manager or call :meth:`run` directly — the pool is
-    created per call and torn down afterwards, so no state leaks between
-    batches.
+    Each :meth:`run` call creates its workers and tears them down
+    afterwards, so no state leaks between batches.
     """
 
     def __init__(
         self,
         workers: int,
         deadline_seconds: Optional[float] = None,
-        start_method: Optional[str] = None,
         retry_policy=None,
         retry_budget=None,
         fault_injector=None,
-        cooperative_grace: float = _COOPERATIVE_GRACE,
     ):
         if workers < 1:
             raise OptimizationError(
@@ -313,17 +365,11 @@ class ProcessPoolExecutor:
             raise OptimizationError(
                 f"deadline_seconds must be positive, got {deadline_seconds}"
             )
-        if cooperative_grace < 0:
-            raise OptimizationError(
-                f"cooperative_grace must be >= 0, got {cooperative_grace}"
-            )
         self.workers = workers
         self.deadline_seconds = deadline_seconds
-        self.cooperative_grace = cooperative_grace
         self.retry_policy = retry_policy
         self.retry_budget = retry_budget
         self.fault_injector = fault_injector
-        self._context = multiprocessing.get_context(start_method)
 
     # ------------------------------------------------------------------
 
@@ -348,7 +394,7 @@ class ProcessPoolExecutor:
             (index, document, 0, 0.0) for index, document in jobs
         )
         pool: List[_Worker] = [
-            _Worker(self._context) for _ in range(min(self.workers, len(jobs)))
+            _Worker() for _ in range(min(self.workers, len(jobs)))
         ]
         idle: List[_Worker] = list(pool)
         busy: List[_Worker] = []
@@ -369,6 +415,7 @@ class ProcessPoolExecutor:
                     index, document, attempt, _ = pending[slot]
                     del pending[slot]
                     worker = idle.pop()
+                    busy.append(worker)
                     fault = self._fault_for(document, attempt)
                     try:
                         worker.assign(index, document, attempt, fault)
@@ -377,13 +424,7 @@ class ProcessPoolExecutor:
                         # is the pool's fault, not the job's — requeue
                         # at the same attempt and replace the worker.
                         pending.appendleft((index, document, attempt, 0.0))
-                        pool.remove(worker)
-                        worker.stop(graceful=False)
-                        replacement = _Worker(self._context)
-                        pool.append(replacement)
-                        idle.append(replacement)
-                        continue
-                    busy.append(worker)
+                        self._recycle(worker, pool, busy, idle, True)
                 ready = _connection_wait(
                     [worker.connection for worker in busy],
                     timeout=self._poll_timeout(busy, pending),
@@ -420,22 +461,17 @@ class ProcessPoolExecutor:
                         )
                         self._recycle(worker, pool, busy, idle, bool(pending))
                         continue
-                    index = worker.busy_index
-                    if payload[0] == "ok":
-                        outcomes[index] = JobOutcome(
-                            status="ok",
-                            elapsed_seconds=worker.elapsed(),
-                            document=payload[1],
-                            retries=worker.busy_attempt,
-                            spans=payload[2] if len(payload) == 3 else None,
-                        )
-                    else:
-                        outcomes[index] = JobOutcome(
-                            status="error",
-                            elapsed_seconds=worker.elapsed(),
-                            error=f"{payload[1]}: {payload[2]}",
-                            retries=worker.busy_attempt,
-                        )
+                    ok = payload[0] == "ok"
+                    outcomes[worker.busy_index] = JobOutcome(
+                        status=payload[0],
+                        elapsed_seconds=worker.elapsed(),
+                        document=payload[1] if ok else None,
+                        error=None if ok else f"{payload[1]}: {payload[2]}",
+                        retries=worker.busy_attempt,
+                        spans=(
+                            payload[-1] if isinstance(payload[-1], list) else None
+                        ),
+                    )
                     worker.release()
                     busy.remove(worker)
                     idle.append(worker)
@@ -458,22 +494,11 @@ class ProcessPoolExecutor:
     # ------------------------------------------------------------------
 
     def _hard_deadline(self, worker: _Worker) -> float:
-        """Wall-clock bound after which this worker's job is forcibly reaped.
-
-        Jobs shipping a cooperative engine budget get the grace period on
-        top of the pool deadline — the engine stops itself at its own
-        deadline, so reaching the hard bound means the worker is actually
-        hung (or the engine ignored its budget) and terminate → kill is
-        the right call.
-        """
-        document = worker.busy_document
-        if (
-            self.cooperative_grace
-            and isinstance(document, dict)
-            and document.get("deadline_seconds") is not None
-        ):
-            return self.deadline_seconds + self.cooperative_grace
-        return self.deadline_seconds
+        """Wall-clock bound after which this worker's job is forcibly reaped."""
+        own = worker.busy_document.get("deadline_seconds")
+        return cooperative_deadline(
+            self.deadline_seconds, own, cooperative=own is not None
+        )[1]
 
     def _fault_for(
         self, document: Dict[str, Any], attempt: int
@@ -498,21 +523,16 @@ class ProcessPoolExecutor:
             return None
         if not isinstance(payload, tuple) or not payload:
             return None
-        if payload[0] == "ok":
-            # ("ok", result_doc) or ("ok", result_doc, span_dicts) when
-            # the job carried trace context.
-            if len(payload) == 2 and isinstance(payload[1], dict):
-                return payload
-            if (
-                len(payload) == 3
-                and isinstance(payload[1], dict)
-                and isinstance(payload[2], list)
-            ):
-                return payload
+        # ("ok", result_doc) / ("error", type_name, message), plus a
+        # trailing list of span dicts when the job carried trace context.
+        body = 2 if payload[0] == "ok" else 3 if payload[0] == "error" else None
+        if body is None or len(payload) not in (body, body + 1):
             return None
-        if payload[0] == "error":
-            return payload if len(payload) == 3 else None
-        return None
+        if payload[0] == "ok" and not isinstance(payload[1], dict):
+            return None
+        if len(payload) > body and not isinstance(payload[-1], list):
+            return None
+        return payload
 
     def _resolve_failure(
         self,
@@ -586,12 +606,6 @@ class ProcessPoolExecutor:
         pool.remove(worker)
         worker.stop(graceful=False)
         if need_replacement:
-            replacement = _Worker(self._context)
+            replacement = _Worker()
             pool.append(replacement)
             idle.append(replacement)
-
-    def __enter__(self) -> "ProcessPoolExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None

@@ -71,8 +71,8 @@ class FrontDoorConfig:
     wall budget *including* shard queue time; the remaining budget is
     shipped to the shard as a cooperative engine deadline, so the shard
     normally stops itself (salvaging a partial-memo plan) and is only
-    killed and respawned when it also misses ``cooperative_grace_seconds``
-    on top.  ``shard_service_kwargs`` is passed through to each shard's
+    killed and respawned when it also misses
+    :data:`~repro.service.executor.COOPERATIVE_GRACE_SECONDS` on top.  ``shard_service_kwargs`` is passed through to each shard's
     :class:`~repro.service.OptimizerService` constructor.
 
     ``snapshot_path`` names a per-shard plan-cache snapshot base (shard
@@ -90,7 +90,6 @@ class FrontDoorConfig:
     quota_rate: Optional[float] = None
     quota_burst: float = 10.0
     deadline_seconds: Optional[float] = 30.0
-    cooperative_grace_seconds: float = 1.0
     ring_replicas: int = 64
     warm_cache_path: Optional[str] = None
     snapshot_path: Optional[str] = None
@@ -119,7 +118,6 @@ class FrontDoor:
             replicas=self.config.ring_replicas,
             warm_cache_path=self.config.warm_cache_path,
             snapshot_path=self.config.snapshot_path,
-            cooperative_grace=self.config.cooperative_grace_seconds,
         )
         self.quotas = TenantQuotas(
             self.config.quota_rate, self.config.quota_burst

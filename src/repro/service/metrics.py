@@ -107,7 +107,6 @@ class ServiceMetrics:
             "cache_hits": 0,
             "cache_misses": 0,
             "timeouts": 0,
-            "fallbacks": 0,
             "degraded": 0,
             "fast_exact": 0,
             "anytime": 0,
@@ -132,7 +131,6 @@ class ServiceMetrics:
                 "errors": 0,
                 "cache_hits": 0,
                 "timeouts": 0,
-                "fallbacks": 0,
                 "degraded": 0,
                 "fast_exact": 0,
                 "anytime": 0,
@@ -154,7 +152,6 @@ class ServiceMetrics:
         cache_hit: bool = False,
         error: bool = False,
         timeout: bool = False,
-        fallback: bool = False,
         degraded: bool = False,
         fast_exact: bool = False,
         anytime: bool = False,
@@ -166,10 +163,8 @@ class ServiceMetrics:
     ) -> None:
         """Record one request outcome under the given algorithm label.
 
-        ``timeout`` marks a request that exceeded its deadline; it is
-        orthogonal to ``error``/``fallback`` because a timed-out request
-        either failed (``error=True``) or was served a heuristic plan
-        (``fallback=True``) — both still count one timeout.  ``degraded``
+        ``timeout`` marks a request that exceeded its deadline (it also
+        counts as an ``error``).  ``degraded``
         marks a request served a *heuristic* plan from a ladder rung
         (admission budget or open breaker); ``fast_exact`` marks one
         served the exact optimum by the dpconv fast-exact rung instead
@@ -201,9 +196,6 @@ class ServiceMetrics:
             if timeout:
                 self._totals["timeouts"] += 1
                 slot["timeouts"] += 1
-            if fallback:
-                self._totals["fallbacks"] += 1
-                slot["fallbacks"] += 1
             if degraded:
                 self._totals["degraded"] += 1
                 slot["degraded"] += 1
@@ -261,7 +253,6 @@ class ServiceMetrics:
                         "errors": slot["errors"],
                         "cache_hits": slot["cache_hits"],
                         "timeouts": slot["timeouts"],
-                        "fallbacks": slot["fallbacks"],
                         "degraded": slot["degraded"],
                         "fast_exact": slot["fast_exact"],
                         "anytime": slot["anytime"],
@@ -346,7 +337,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
         "cache_hits": "Requests served from the plan cache.",
         "cache_misses": "Requests that missed the plan cache.",
         "timeouts": "Requests that exceeded their deadline.",
-        "fallbacks": "Requests served a heuristic fallback plan.",
         "degraded": "Requests served a heuristic plan from a degradation-ladder rung.",
         "fast_exact": "Over-budget requests served the exact optimum by the dpconv rung.",
         "anytime": "Requests served a salvaged plan by an expired cooperative budget.",
@@ -418,7 +408,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
             ("errors", "errors", "Errors per algorithm."),
             ("cache_hits", "cache_hits", "Cache hits per algorithm."),
             ("timeouts", "timeouts", "Timeouts per algorithm."),
-            ("fallbacks", "fallbacks", "Fallback servings per algorithm."),
             ("degraded", "degraded", "Degraded servings per algorithm."),
             ("fast_exact", "fast_exact", "Fast-exact dpconv servings per algorithm."),
             ("anytime", "anytime", "Salvaged anytime servings per algorithm."),

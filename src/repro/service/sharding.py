@@ -20,9 +20,12 @@ breaker state.  This module holds the pieces that make that work:
   a bounded queue per shard (backpressure -> HTTP 429 upstream), one
   in-flight op at a time per pipe, cooperative deadlines (the remaining
   budget is stamped into the optimize request so the shard's engine
-  stops itself and salvages; kill+respawn only fires when the grace on
-  top is also missed), and crash detection with automatic respawn that
-  preserves the queue.  A respawned shard re-warms from the latest
+  stops itself and salvages; kill+respawn only fires when the grace of
+  :func:`~repro.service.executor.cooperative_deadline` on top is also
+  missed), and crash detection with automatic respawn that preserves
+  the queue.  The shard process itself is a
+  :class:`~repro.service.executor.ChildProcess`, the same spawn → stop
+  primitive the batch workers use.  A respawned shard re-warms from the latest
   ring-filtered snapshot (:meth:`ShardClient.save_snapshot`) when one
   exists, falling back to the startup snapshot.
 
@@ -37,7 +40,6 @@ import asyncio
 import bisect
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import warnings
@@ -53,6 +55,7 @@ from repro.errors import (
     OptimizationError,
     UnsupportedVersionError,
 )
+from repro.service.executor import ChildProcess, cooperative_deadline
 
 __all__ = [
     "ConsistentHashRing",
@@ -469,12 +472,6 @@ def shard_worker_main(
 # ----------------------------------------------------------------------
 
 
-def _mp_context():
-    """Prefer ``fork`` (keeps parent-registered plugins visible)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
 class ShardClient:
     """Parent-side handle for one shard process.
 
@@ -499,7 +496,6 @@ class ShardClient:
         warm_cache_path: Optional[str] = None,
         queue_limit: int = 16,
         snapshot_path: Optional[str] = None,
-        cooperative_grace: float = 1.0,
     ):
         self.index = index
         self.shard_count = shard_count
@@ -507,19 +503,15 @@ class ShardClient:
         self.service_kwargs = dict(service_kwargs)
         self.warm_cache_path = warm_cache_path
         self.snapshot_path = snapshot_path
-        self.cooperative_grace = cooperative_grace
         self.queue_limit = queue_limit
         self.restarts = 0
         self.completed = 0
         self.hard_kills_avoided = 0
-        self.process = None
-        self._conn = None
         self._queue: Optional[asyncio.Queue] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._pipe_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard{index}-pipe"
         )
-        self._context = _mp_context()
         self._spawn()
 
     # -- process lifecycle ---------------------------------------------
@@ -537,40 +529,27 @@ class ShardClient:
         return self.warm_cache_path
 
     def _spawn(self) -> None:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=shard_worker_main,
-            args=(
-                child_conn,
+        self._child = ChildProcess(
+            shard_worker_main,
+            (
                 self.index,
                 self.shard_count,
                 self.replicas,
                 self.service_kwargs,
                 self._warm_path(),
             ),
-            daemon=True,
             name=f"repro-shard-{self.index}",
         )
-        process.start()
-        child_conn.close()
-        self.process = process
-        self._conn = parent_conn
 
     def _respawn(self) -> None:
-        """Kill the current process (if any) and start a fresh one."""
+        """Kill the current process and start a fresh one."""
         self.restarts += 1
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=5.0)
+        self._child.stop(graceful=False)
         self._spawn()
 
     @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return self._child.process.is_alive()
 
     @property
     def queue_depth(self) -> int:
@@ -625,10 +604,9 @@ class ShardClient:
                     retryable=True,
                     request_id=job.get("request_id"),
                 )
-        grace = 0.0
+        wait = timeout
         if (
             timeout is not None
-            and self.cooperative_grace > 0
             and job.get("op") == "optimize"
             and isinstance(job.get("request"), dict)
         ):
@@ -638,14 +616,12 @@ class ShardClient:
             # on top only covers salvage + reply serialization; a shard
             # that misses it too is genuinely hung and gets recycled.
             document = dict(job["request"])
-            own = document.get("deadline_seconds")
-            document["deadline_seconds"] = (
-                timeout if own is None else min(float(own), timeout)
+            document["deadline_seconds"], wait = cooperative_deadline(
+                timeout, document.get("deadline_seconds")
             )
             job = dict(job)
             job["request"] = document
-            grace = self.cooperative_grace
-        conn = self._conn
+        conn = self._child.connection
 
         def call():
             conn.send(job)
@@ -659,8 +635,7 @@ class ShardClient:
         started = loop.time()
         try:
             payload = await asyncio.wait_for(
-                asyncio.shield(pipe_future),
-                None if timeout is None else timeout + grace,
+                asyncio.shield(pipe_future), wait
             )
             if timeout is not None and loop.time() - started > timeout:
                 # The engine cooperated inside the grace window; without
@@ -743,18 +718,7 @@ class ShardClient:
             except asyncio.CancelledError:
                 pass
             self._drain_task = None
-        try:
-            self._conn.send({"op": "shutdown"})
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        self._child.stop(sentinel={"op": "shutdown"})
         self._pipe_executor.shutdown(wait=False)
 
 
@@ -780,7 +744,6 @@ class ShardPool:
         replicas: int = 64,
         warm_cache_path: Optional[str] = None,
         snapshot_path: Optional[str] = None,
-        cooperative_grace: float = 1.0,
     ):
         self.ring = ConsistentHashRing(shard_count, replicas)
         self.snapshot_path = snapshot_path
@@ -799,7 +762,6 @@ class ShardPool:
                 snapshot_path=(
                     f"{snapshot_path}.shard{index}" if snapshot_path else None
                 ),
-                cooperative_grace=cooperative_grace,
             )
             for index in range(shard_count)
         ]

@@ -182,7 +182,7 @@ class TestStatisticsValidation:
             {e: 0.1 for e in graph.edges},
         )
         healthy = uniform_statistics(chain_graph(4))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             results = OptimizerService().optimize_batch(
                 [healthy, poisoned, healthy], workers=2, executor=executor
             )

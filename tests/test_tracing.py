@@ -339,7 +339,10 @@ class TestServiceTracing:
     def test_thread_executor_traces_every_item(self):
         service = OptimizerService()
         requests = [chain_request(seed=s, tag=f"t{s}") for s in (1, 2, 3)]
-        results = service.optimize_batch(requests, workers=2, executor="thread")
+        with pytest.warns(DeprecationWarning):
+            results = service.optimize_batch(
+                requests, workers=2, executor="thread"
+            )
         ids = {r.trace_id for r in results}
         assert len(ids) == 3 and None not in ids
         for result in results:
@@ -380,7 +383,7 @@ class TestMetricsInvariant:
         service.optimize(request)            # hit
         disconnected = uniform_statistics(QueryGraph(4, [(0, 1), (2, 3)]))
         service.optimize_batch(
-            [request, disconnected], workers=2, executor="thread"
+            [request, disconnected], workers=2, executor="serial"
         )                                    # hit + error
         totals = service.stats_snapshot()["totals"]
         assert totals["requests"] == 4
