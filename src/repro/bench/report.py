@@ -49,10 +49,10 @@ def bench_environment() -> Dict:
 
     Numbers in ``BENCH_*.json`` are only comparable across runs when the
     execution substrate is known — above all which enumeration backend
-    (pure python, numpy batch-DP, compiled C) actually served the hot
+    (pure python or compiled C) actually served the hot
     loop.  Every gate writer stamps this stanza via
     :func:`write_bench_report` so a perf regression can immediately be
-    told apart from a host that silently lost its numpy or C toolchain.
+    told apart from a host that silently lost its C toolchain.
     """
     import platform
 
@@ -64,7 +64,6 @@ def bench_environment() -> Dict:
         "platform": platform.platform(),
         "backend": status["resolved"],
         "requested_backend": status["requested"],
-        "numpy_version": status["numpy"]["version"],
         "cffi_version": status["cffi"]["version"],
         "cc": status["compiler"]["cc"],
         "c_kernel_built": status["c_kernel"]["built"],

@@ -27,9 +27,9 @@ Subcommands (``repro-optimize <subcommand> ...`` or
                    render the fleet dashboard: per-request event log,
                    REPLAY.json summary, and every registered figure
                    (see docs/REPLAY.md)
-    backends       report which enumeration backends (pure python, numpy
-                   batch-DP, compiled C kernel) are available on this
-                   host and which one the auto-selector would pick;
+    backends       report which enumeration backends (pure python,
+                   compiled C kernel) are available on this host and
+                   which one the auto-selector would pick;
                    --build compiles the C kernel eagerly, --json emits
                    the raw status document
 """
@@ -304,7 +304,6 @@ def _serve_stats_main(argv: List[str]) -> int:
             f"kernel_fast={totals.get('kernel_fast', 0)} "
             f"kernel_reference={totals.get('kernel_reference', 0)} "
             f"kernel_dpconv={totals.get('kernel_dpconv', 0)} "
-            f"kernel_native_numpy={totals.get('kernel_native_numpy', 0)} "
             f"kernel_native_c={totals.get('kernel_native_c', 0)}"
         )
         backends = snapshot.get("backends")
@@ -312,7 +311,6 @@ def _serve_stats_main(argv: List[str]) -> int:
             print(
                 f"backends: resolved={backends.get('resolved')} "
                 f"requested={backends.get('requested')} "
-                f"numpy={backends.get('numpy', {}).get('available')} "
                 f"c_kernel={backends.get('c_kernel', {}).get('built')}"
             )
         breakers = snapshot.get("breaker", {})
@@ -357,7 +355,7 @@ def _backends_main(argv: List[str]) -> int:
     """``backends``: report native enumeration backend availability.
 
     Shows what :mod:`repro.optimizer.native` can use on this host —
-    numpy, cffi, a C compiler, a cached compiled kernel — and which
+    cffi, a C compiler, a cached compiled kernel — and which
     backend the auto-selector resolves to for the symmetric-cost exact
     tier.  ``--build`` compiles the C kernel now (so first-request
     latency never pays for it); ``--json`` dumps the same document the
@@ -366,7 +364,7 @@ def _backends_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-optimize backends",
         description="Report native enumeration backend availability "
-        "(numpy batch-DP, compiled C kernel) and the auto-selector's "
+        "(compiled C kernel) and the auto-selector's "
         "resolution on this host.",
     )
     parser.add_argument(
@@ -397,20 +395,11 @@ def _backends_main(argv: List[str]) -> int:
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
-    numpy_info = status["numpy"]
     cffi_info = status["cffi"]
     compiler = status["compiler"]
     c_kernel = status["c_kernel"]
     print(f"requested: {status['requested']} (env {native.NATIVE_KERNEL_ENV})")
     print(f"resolved:  {status['resolved']}")
-    print(
-        "numpy:     "
-        + (
-            f"available ({numpy_info['version']})"
-            if numpy_info["available"]
-            else "missing"
-        )
-    )
     print(
         "cffi:      "
         + (
@@ -428,8 +417,8 @@ def _backends_main(argv: List[str]) -> int:
     else:
         print("c kernel:  not built")
     print(
-        f"limits:    numpy n<={status['max_n']['numpy']}, "
-        f"c n<={status['max_n']['c']} (larger queries use pure python)"
+        f"limits:    c n<={status['max_n']['c']} "
+        "(larger queries use pure python)"
     )
     return 0
 

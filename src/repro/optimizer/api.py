@@ -531,7 +531,7 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
     backend = getattr(optimizer, "last_backend", None)
     if backend is not None:
         # Engine that executed the enumeration: "python", or a native
-        # dpconv rung ("numpy"/"c" — see repro.optimizer.native).  The
+        # dpconv rung ("c" — see repro.optimizer.native).  The
         # service mirrors it into metrics, trace spans, and serve-stats
         # so the fleet can tell which hosts run accelerated.
         details["backend"] = backend

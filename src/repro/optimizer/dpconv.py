@@ -121,7 +121,7 @@ class DPconvPlanGenerator:
         self.budget_expired = False
         self.salvage_report = None
         self.last_kernel: Optional[str] = None
-        #: ``None``/``"auto"``/``"numpy"``/``"c"``/``"off"`` — explicit
+        #: ``None``/``"auto"``/``"c"``/``"off"`` — explicit
         #: override for the native rung selection (``None`` defers to
         #: ``$REPRO_NATIVE_KERNEL``; see :mod:`repro.optimizer.native`).
         #: Validated eagerly so a typo fails at construction, not deep
@@ -136,7 +136,7 @@ class DPconvPlanGenerator:
                 )
         self.native_backend = native_backend
         #: Engine that actually ran the last ``optimize()``: ``"python"``
-        #: (pure layered convolution), ``"numpy"``, or ``"c"``.  Distinct
+        #: (pure layered convolution) or ``"c"``.  Distinct
         #: from ``last_kernel`` (always ``"dpconv"`` here) so dashboards
         #: keyed on the algorithm tier keep working unchanged.
         self.last_backend: Optional[str] = None
@@ -170,7 +170,7 @@ class DPconvPlanGenerator:
                 self.last_backend = backend
             try:
                 if backend is not None:
-                    native.run_native_convolution(self, full, backend)
+                    native.run_native_convolution(self, full)
                 else:
                     self._convolve(full)
             except BudgetExpired:

@@ -235,9 +235,12 @@ def _child_main(target, connection, *args) -> None:
     that handles SIGTERM itself (the front door drains on it), the
     terminate step of :meth:`ChildProcess.stop` would otherwise be
     swallowed by the child — or, through the inherited signal wakeup
-    fd, delivered to the parent's event loop.
+    fd, delivered to the parent's event loop.  The parent blocks SIGTERM
+    across the fork, so one sent before the reset waits, pending, until
+    the unblock below delivers it under the default action.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM,))
     target(connection, *args)
 
 
@@ -261,7 +264,11 @@ class ChildProcess:
             daemon=True,
             name=name,
         )
-        self.process.start()
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM,))
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
         child_connection.close()
 
     def stop(self, sentinel: Any = None, graceful: bool = True) -> None:

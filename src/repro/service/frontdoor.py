@@ -373,15 +373,22 @@ class FrontDoor:
     def _route(self, request_document: Dict[str, Any]) -> int:
         """Resolve a request sub-document to its owning shard index.
 
-        The memo keys on the canonical JSON of the *raw* document, so an
-        exact replay costs one hash; a miss pays full deserialization +
-        canonicalization once and funds every future replay.  An
-        isomorphic-but-relabeled request misses the memo but still
+        The memo keys on the canonical JSON of the raw document minus
+        its free-form ``tag``, so an exact replay costs one hash even
+        when each caller tags its requests uniquely; a miss pays full
+        deserialization + canonicalization once and funds every future
+        replay.  Every other field stays in the key: a hit must mean the
+        same fields already passed ``parse_request_document`` here (the
+        shard client reads ``deadline_seconds`` before the shard does).
+        An isomorphic-but-relabeled request misses the memo but still
         computes the same signature, so it lands on the same shard (and
         its warm cache entry) anyway.
         """
+        routed = {
+            key: value for key, value in request_document.items() if key != "tag"
+        }
         blob = json.dumps(
-            request_document, sort_keys=True, separators=(",", ":")
+            routed, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
         memo_key = hashlib.sha256(blob).hexdigest()
         shard = self._route_memo.get(memo_key)

@@ -166,6 +166,53 @@ class TestOptimizeEndpoint:
 
         run(body())
 
+    def test_route_memo_ignores_fields_outside_the_signature(self):
+        async def body():
+            async with door_on() as door:
+                replies = []
+                for tag in ("client-a-1", "client-a-2"):
+                    document = dict(request_document(seed=5), tag=tag)
+                    status, _, reply = await http_request(
+                        door.port, "POST", "/v1/optimize", envelope(document)
+                    )
+                    assert status == 200
+                    replies.append(reply)
+                assert replies[1]["shard"] == replies[0]["shard"]
+                assert replies[1]["result"]["cache_hit"] is True
+                assert door.route_memo_hits == 1
+                assert door.route_memo_misses == 1
+
+        run(body())
+
+    def test_route_memo_hit_still_validates_deadline_and_budget(self):
+        async def body():
+            async with door_on() as door:
+                document = request_document(seed=5)
+                status, _, _ = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 200
+                for field, bad in (
+                    ("deadline_seconds", "x"),
+                    ("node_budget", "x"),
+                ):
+                    status, _, reply = await http_request(
+                        door.port,
+                        "POST",
+                        "/v1/optimize",
+                        envelope(dict(document, **{field: bad})),
+                    )
+                    assert status == 400, (field, reply)
+                    assert reply["error"]["code"] == "invalid_request"
+                # The owning shard still drains its queue.
+                status, _, reply = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 200
+                assert reply["result"]["cache_hit"] is True
+
+        run(body())
+
     def test_batch_isolates_bad_items(self):
         async def body():
             async with door_on() as door:

@@ -9,12 +9,11 @@ three partitioning strategies; plus the driver-level behaviors that only
 the kernel provides (no RecursionError on deep chains) and the selection
 plumbing (``use_kernel``, ``last_kernel``, the env-var opt-out).
 
-The same shape corpus also anchors the native dpconv rungs (numpy / C)
-to the reference driver whenever this host can run them — see
+The same shape corpus also anchors the native dpconv rung (C) to the
+reference driver whenever this host can run it — see
 :class:`TestNativeRungEquivalence`.
 """
 
-import math
 import os
 import random
 import sys
@@ -52,12 +51,9 @@ SHAPES = [
 
 def _native_backends():
     """Native dpconv rungs this host can run (possibly empty)."""
-    from repro.optimizer import native
     from repro.optimizer._native_build import load_c_kernel
 
     backends = []
-    if native._numpy() is not None:
-        backends.append("numpy")
     if load_c_kernel(build=True) is not None:
         backends.append("c")
     return backends
@@ -156,7 +152,7 @@ class TestShapeEquivalence:
 class TestNativeRungEquivalence:
     """Anchor the native dpconv rungs to the reference enumerator.
 
-    Skipped wholesale on hosts without numpy or a C toolchain — silent
+    Skipped wholesale on hosts without a C toolchain — silent
     degradation to pure python is a supported configuration with its
     own CI leg.
     """
@@ -191,10 +187,8 @@ class TestNativeRungEquivalence:
     @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
     def test_arbitrary_statistics(self, shape, backend):
         # Non-pow-2 statistics lose association invariance between
-        # *engines*; the native rung is still compared bit-for-bit
-        # against the pure dpconv loop when it replicates its operation
-        # order (the C rung), and to 1e-9 when it vectorizes the
-        # cardinality sweep in a different order (numpy).
+        # *engines*; the native rung replicates the pure dpconv loop's
+        # operation order, so against that loop it is bit-for-bit.
         graph = dict(SHAPES)[shape]
         catalog = uniform_statistics(graph)  # 1000.0 / 0.01
         pure = DPconvPlanGenerator(
@@ -205,10 +199,7 @@ class TestNativeRungEquivalence:
             catalog, cost_model=CoutCostModel(), native_backend=backend
         )
         plan = conv.optimize()
-        if backend == "c":
-            assert plan.cost == pure_plan.cost
-        else:
-            assert math.isclose(plan.cost, pure_plan.cost, rel_tol=1e-9)
+        assert plan.cost == pure_plan.cost
         assert (
             conv.builder.cost_evaluations == pure.builder.cost_evaluations
         )

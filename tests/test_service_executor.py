@@ -437,6 +437,20 @@ class TestWorkerLifecycle:
         assert not child.process.is_alive()
         assert time.perf_counter() - started < 2.0
 
+    def test_stop_kills_a_child_before_its_handshake(self):
+        # No wait for "running": the terminate may reach the child before
+        # it resets the SIGTERM handler it inherited from the parent.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            for _ in range(3):
+                child = ChildProcess(_sleep_forever, name="repro-test-child")
+                started = time.perf_counter()
+                child.stop(graceful=False)
+                assert not child.process.is_alive()
+                assert time.perf_counter() - started < 2.0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
 
 class TestValidation:
     def test_unknown_executor_rejected(self):
